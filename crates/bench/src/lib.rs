@@ -71,13 +71,13 @@ pub fn resolve_json_dir(raw: Option<&std::ffi::OsStr>) -> Result<PathBuf, String
     }
 }
 
-/// Interpret an `OCS_BENCH_REPLAN_THREADS` value: unset or empty means 0
-/// ("all cores", the `OnlineConfig` default); anything else must be a
-/// non-negative integer. A typo is an error — it must never silently
-/// replay on the default.
+/// Interpret an `OCS_BENCH_REPLAN_THREADS` value: unset or empty means
+/// the `OnlineConfig` default (1, sequential); anything else must be a
+/// non-negative integer (0 = all cores). A typo is an error — it must
+/// never silently replay on the default.
 pub fn parse_replan_threads(raw: Option<&str>) -> Result<usize, String> {
     match raw.map(str::trim) {
-        None | Some("") => Ok(0),
+        None | Some("") => Ok(OnlineConfig::default().replan_threads),
         Some(s) => s.parse().map_err(|_| {
             format!(
                 "OCS_BENCH_REPLAN_THREADS must be a non-negative integer \
@@ -206,8 +206,9 @@ mod tests {
 
     #[test]
     fn replan_threads_env_parses_or_errors_loudly() {
-        assert_eq!(parse_replan_threads(None), Ok(0));
-        assert_eq!(parse_replan_threads(Some("")), Ok(0));
+        assert_eq!(parse_replan_threads(None), Ok(1));
+        assert_eq!(parse_replan_threads(Some("")), Ok(1));
+        assert_eq!(parse_replan_threads(Some("0")), Ok(0));
         assert_eq!(parse_replan_threads(Some("2")), Ok(2));
         for garbage in ["auto", "-2", "1.5"] {
             let err = parse_replan_threads(Some(garbage)).unwrap_err();

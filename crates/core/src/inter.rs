@@ -33,18 +33,6 @@ pub trait PriorityPolicy {
                 .then_with(|| a.id().cmp(&b.id()))
         });
     }
-
-    /// Clone this policy into an owned, thread-safe box, when supported.
-    ///
-    /// Sharded backends (the port-group serving path in `ocs-sim`)
-    /// advance disjoint partitions on worker threads and need one owned
-    /// policy per shard. Every policy in this module returns `Some`; the
-    /// default is `None`, which makes such backends fall back to
-    /// deterministic sequential advancement rather than guess at thread
-    /// safety.
-    fn clone_box(&self) -> Option<Box<dyn PriorityPolicy + Send + Sync>> {
-        None
-    }
 }
 
 /// Policies are stateless comparators, so a shared reference is itself a
@@ -59,10 +47,6 @@ impl<P: PriorityPolicy + ?Sized> PriorityPolicy for &P {
     fn sort(&self, coflows: &mut Vec<&Coflow>, fabric: &Fabric) {
         (**self).sort(coflows, fabric)
     }
-
-    fn clone_box(&self) -> Option<Box<dyn PriorityPolicy + Send + Sync>> {
-        (**self).clone_box()
-    }
 }
 
 /// Shortest-Coflow-first: order by the packet-switched lower bound
@@ -74,10 +58,6 @@ pub struct ShortestFirst;
 impl PriorityPolicy for ShortestFirst {
     fn compare(&self, a: &Coflow, b: &Coflow, fabric: &Fabric) -> Ordering {
         packet_lower_bound(a, fabric).cmp(&packet_lower_bound(b, fabric))
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn PriorityPolicy + Send + Sync>> {
-        Some(Box::new(*self))
     }
 }
 
@@ -93,10 +73,6 @@ impl PriorityPolicy for LongestFirst {
     fn compare(&self, a: &Coflow, b: &Coflow, fabric: &Fabric) -> Ordering {
         packet_lower_bound(b, fabric).cmp(&packet_lower_bound(a, fabric))
     }
-
-    fn clone_box(&self) -> Option<Box<dyn PriorityPolicy + Send + Sync>> {
-        Some(Box::new(*self))
-    }
 }
 
 /// First-come-first-served: order by arrival time.
@@ -106,10 +82,6 @@ pub struct FirstComeFirstServed;
 impl PriorityPolicy for FirstComeFirstServed {
     fn compare(&self, a: &Coflow, b: &Coflow, _fabric: &Fabric) -> Ordering {
         a.arrival().cmp(&b.arrival())
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn PriorityPolicy + Send + Sync>> {
-        Some(Box::new(*self))
     }
 }
 
@@ -148,10 +120,6 @@ impl PriorityPolicy for ClassThenShortest {
             .cmp(&self.class_of(b))
             .then_with(|| ShortestFirst.compare(a, b, fabric))
     }
-
-    fn clone_box(&self) -> Option<Box<dyn PriorityPolicy + Send + Sync>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// An explicit operator-supplied order: Coflows appear in the order their
@@ -175,10 +143,6 @@ impl PriorityPolicy for ExplicitOrder {
         let ra = self.rank.get(&a.id()).copied().unwrap_or(usize::MAX);
         let rb = self.rank.get(&b.id()).copied().unwrap_or(usize::MAX);
         ra.cmp(&rb)
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn PriorityPolicy + Send + Sync>> {
-        Some(Box::new(self.clone()))
     }
 }
 

@@ -179,13 +179,6 @@ impl FaultInjector {
 }
 
 impl SettleHook for FaultInjector {
-    /// With every fault class at zero probability the injector is a
-    /// pass-through: no rolls, no streaks, no stats. Advertising that
-    /// lets sharded backends advance fault-free port groups in parallel.
-    fn is_inert(&self) -> bool {
-        self.config.is_fault_free()
-    }
-
     fn on_settle(&mut self, resv: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
         if self.config.is_fault_free() || available.is_zero() {
             // Nothing to lose (already-cut circuits settle with zero

@@ -26,13 +26,15 @@
 //! standalone loops (pinned by the golden fingerprints in
 //! `replay_regression.rs` and `backend_regression.rs`).
 
+use crate::admission::Admission;
 use crate::online::{OnlineConfig, ReplayStats};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_baselines::{CircuitScheduler, ExecConfig, SwitchModel, TimedAssignment};
 use ocs_model::KCoreFabric;
 use ocs_model::{Coflow, DemandMatrix, Dur, Fabric, FlowRef, Reservation, ScheduleOutcome, Time};
 use ocs_packet::{Aalo, ActiveCoflow, FairSharing, RateScheduler, Varys};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind};
 
 /// A resumable, event-driven simulation of one Coflow scheduler.
@@ -149,12 +151,13 @@ pub struct CoreStatus {
 /// the [`PriorityPolicy`] it is driven under.
 ///
 /// The stepper API threads the policy through every call; the backend
-/// owns one (borrowed policies coerce via the blanket
+/// holds one (borrowed policies coerce via the blanket
 /// `impl PriorityPolicy for &P`) so the trait object can be driven
-/// without per-call policy plumbing.
+/// without per-call policy plumbing. The Sunflow parts of a partitioned
+/// backend share one policy, so nothing is cloned.
 pub struct SunflowBackend<'p> {
     stepper: OnlineStepper,
-    policy: Box<dyn PriorityPolicy + 'p>,
+    policy: Rc<dyn PriorityPolicy + 'p>,
 }
 
 impl<'p> SunflowBackend<'p> {
@@ -163,6 +166,15 @@ impl<'p> SunflowBackend<'p> {
         fabric: &Fabric,
         config: &OnlineConfig,
         policy: Box<dyn PriorityPolicy + 'p>,
+    ) -> SunflowBackend<'p> {
+        SunflowBackend::shared(fabric, config, Rc::from(policy))
+    }
+
+    /// Like [`SunflowBackend::new`], under a policy other backends share.
+    pub(crate) fn shared(
+        fabric: &Fabric,
+        config: &OnlineConfig,
+        policy: Rc<dyn PriorityPolicy + 'p>,
     ) -> SunflowBackend<'p> {
         SunflowBackend {
             stepper: OnlineStepper::new(fabric, config),
@@ -282,10 +294,7 @@ pub struct CircuitBackend {
     exec: ExecConfig,
     fabric: Fabric,
     now: Time,
-    /// Future arrivals, keyed by (arrival, id) — admission order.
-    pending: BTreeMap<(Time, u64), Coflow>,
-    /// Every id ever submitted (duplicate rejection).
-    ids: HashSet<u64>,
+    queue: Admission,
     tracked: Vec<Tracked>,
     /// Aggregate outstanding demand across active Coflows.
     remaining: DemandMatrix,
@@ -319,8 +328,7 @@ impl CircuitBackend {
             exec,
             fabric: *fabric,
             now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
+            queue: Admission::new(fabric),
             tracked: Vec::new(),
             remaining: DemandMatrix::zero(n),
             fifo: HashMap::new(),
@@ -337,18 +345,11 @@ impl CircuitBackend {
         self.setups
     }
 
-    fn next_arrival(&self) -> Option<Time> {
-        self.pending.keys().next().map(|&(a, _)| a)
-    }
-
-    /// Admit every pending Coflow whose arrival is at or before `now`.
+    /// Admit every queued Coflow whose arrival is at or before `now`.
     fn admit_due(&mut self) -> u64 {
         let mut admitted = 0u64;
-        while let Some(&(arrival, id)) = self.pending.keys().next() {
-            if arrival > self.now {
-                break;
-            }
-            let c = self.pending.remove(&(arrival, id)).expect("peeked");
+        while let Some(c) = self.queue.pop_due(self.now) {
+            let (arrival, id) = (c.arrival(), c.id());
             let slot = self.tracked.len();
             let mut tr = Tracked {
                 id,
@@ -633,33 +634,16 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
-        Ok(())
+        self.queue.submit(coflow, self.now, |_| Ok(()))
     }
 
     fn next_event_time(&self) -> Option<Time> {
         if !self.remaining.is_zero() {
             // Drainable demand: work proceeds continuously until the
             // next arrival re-plans it (or forever — the sentinel).
-            Some(self.next_arrival().unwrap_or(Time::MAX))
+            Some(self.queue.next_arrival().unwrap_or(Time::MAX))
         } else {
-            self.next_arrival()
+            self.queue.next_arrival()
         }
     }
 
@@ -668,7 +652,7 @@ impl SchedulingBackend for CircuitBackend {
         loop {
             // Run the current plan window: until the next arrival
             // invalidates the aggregate, or to the deadline.
-            let limit = match self.next_arrival() {
+            let limit = match self.queue.next_arrival() {
                 Some(a) if a < deadline => a,
                 _ => deadline,
             };
@@ -691,7 +675,7 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.active == 0 && self.remaining.is_zero()
+        self.queue.is_empty() && self.active == 0 && self.remaining.is_zero()
     }
 
     fn active_coflows(&self) -> usize {
@@ -699,7 +683,7 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn queued_arrivals(&self) -> usize {
-        self.pending.len()
+        self.queue.len()
     }
 
     fn outstanding_demand(&self) -> Dur {
@@ -734,9 +718,7 @@ pub struct PacketBackend<'s> {
     scheduler: Box<dyn RateScheduler + 's>,
     fabric: Fabric,
     now: Time,
-    /// Future arrivals, keyed by (arrival, id) — admission order.
-    pending: BTreeMap<(Time, u64), Coflow>,
-    ids: HashSet<u64>,
+    queue: Admission,
     acts: Vec<ActiveCoflow>,
     /// Parallel to `acts`: first instant each Coflow held a positive
     /// aggregate rate, for queue-latency telemetry.
@@ -758,8 +740,7 @@ impl<'s> PacketBackend<'s> {
             scheduler,
             fabric: *fabric,
             now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
+            queue: Admission::new(fabric),
             acts: Vec::new(),
             first_service: Vec::new(),
             completions: Vec::new(),
@@ -785,7 +766,7 @@ impl<'s> PacketBackend<'s> {
             tx[f.src] += b;
             rx[f.dst] += b;
         }
-        for f in self.pending.values().flat_map(|c| c.flows().iter()) {
+        for f in self.queue.queued().flat_map(|c| c.flows().iter()) {
             tx[f.src] += f.bytes as f64;
             rx[f.dst] += f.bytes as f64;
         }
@@ -797,7 +778,7 @@ impl<'s> PacketBackend<'s> {
 
     /// Next candidate events: (arrival, flow finish, scheduler event).
     fn candidates(&self) -> (Option<Time>, Option<Time>, Option<Time>) {
-        let t_arrival = self.pending.keys().next().map(|&(a, _)| a.max(self.now));
+        let t_arrival = self.queue.next_arrival().map(|a| a.max(self.now));
         let t_finish = self
             .acts
             .iter()
@@ -841,24 +822,9 @@ impl SchedulingBackend for PacketBackend<'_> {
     }
 
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.fuel += 1_000 * (1 + coflow.num_flows() as u64);
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
+        let fuel = 1_000 * (1 + coflow.num_flows() as u64);
+        self.queue.submit(coflow, self.now, |_| Ok(()))?;
+        self.fuel += fuel;
         Ok(())
     }
 
@@ -943,11 +909,7 @@ impl SchedulingBackend for PacketBackend<'_> {
             }
 
             // Arrivals at (or before) now.
-            while let Some(&(arrival, id)) = self.pending.keys().next() {
-                if arrival > self.now {
-                    break;
-                }
-                let c = self.pending.remove(&(arrival, id)).expect("peeked");
+            while let Some(c) = self.queue.pop_due(self.now) {
                 self.acts.push(ActiveCoflow::new(&c));
                 self.first_service.push(None);
                 topology_changed = true;
@@ -969,7 +931,7 @@ impl SchedulingBackend for PacketBackend<'_> {
                 }
             }
 
-            if self.acts.is_empty() && self.pending.is_empty() {
+            if self.acts.is_empty() && self.queue.is_empty() {
                 break;
             }
         }
@@ -995,7 +957,7 @@ impl SchedulingBackend for PacketBackend<'_> {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.acts.is_empty()
+        self.queue.is_empty() && self.acts.is_empty()
     }
 
     fn active_coflows(&self) -> usize {
@@ -1003,7 +965,7 @@ impl SchedulingBackend for PacketBackend<'_> {
     }
 
     fn queued_arrivals(&self) -> usize {
-        self.pending.len()
+        self.queue.len()
     }
 
     fn outstanding_demand(&self) -> Dur {
@@ -1451,6 +1413,19 @@ mod tests {
                 "{}",
                 kind.name()
             );
+            let now = Time::from_millis(5);
+            b.advance_to(now, &mut FullService);
+            assert!(
+                matches!(
+                    b.submit(Coflow::builder(3).flow(1, 2, 1_000).build()),
+                    Err(SubmitError::ArrivalInPast { .. })
+                ),
+                "{}",
+                kind.name()
+            );
+            // The refused id is not retained: an on-time resubmission succeeds.
+            let on_time = Coflow::builder(3).arrival(now).flow(1, 2, 1_000).build();
+            assert_eq!(b.submit(on_time), Ok(()), "{}", kind.name());
         }
     }
 

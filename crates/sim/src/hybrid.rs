@@ -14,17 +14,18 @@
 //! link bandwidth, max-min fair sharing, no Coflow awareness), composed
 //! behind **one clock and one submission surface**. Every arriving
 //! Coflow is routed through a pluggable
-//! [`SplitPolicy`](sunflow_core::SplitPolicy) — whole-Coflow
+//! [`SplitPolicy`] — whole-Coflow
 //! ([`NonSplitting`](sunflow_core::NonSplitting)), per-flow threshold
 //! ([`ThresholdSplit`] — the classic hybrid), or a per-Coflow byte
 //! solver probing the live PRT ([`SolverSplit`](sunflow_core::SolverSplit))
 //! — carved by [`DemandSplit`](ocs_model::DemandSplit), and reassembled
 //! at completion: the Coflow finishes when *both* of its parts have.
 //!
-//! The composition preserves the engine semantics of the historical
-//! `simulate_hybrid` (two backends under
-//! [`crate::engine::run_backends_to_idle`]): each sub-backend is
-//! advanced only at its own event instants, so it observes exactly the
+//! [`HybridBackend`] is a [`Partitioned`] backend whose `Router`
+//! carves with the split policy. The composition preserves the engine
+//! semantics of the historical `simulate_hybrid` (two backends under
+//! [`crate::engine::run_backends_to_idle`]): each fabric is advanced
+//! only at its own event instants, so it observes exactly the
 //! `advance_to` sequence it would produce running alone, and the
 //! threshold-split replay is bit-identical to the historical one.
 //! [`simulate_hybrid`] survives as a thin batch constructor over
@@ -33,10 +34,9 @@
 use crate::backend::{PacketBackend, SchedulingBackend, SunflowBackend};
 use crate::engine::run_trace;
 use crate::online::{OnlineConfig, ReplayStats};
-use crate::stepper::{Completion, SettleHook, SubmitError};
-use ocs_model::{Bandwidth, Coflow, Dur, Fabric, ScheduleOutcome, SubflowRef, Time};
+use crate::partitioned::{Division, Partitioned, Router};
+use ocs_model::{Bandwidth, Coflow, Fabric, ScheduleOutcome};
 use ocs_packet::FairSharing;
-use std::collections::{BTreeMap, HashMap, HashSet};
 use sunflow_core::{PriorityPolicy, SplitContext, SplitPolicy, SunflowConfig, ThresholdSplit};
 
 /// Hybrid network parameters.
@@ -92,54 +92,34 @@ impl std::fmt::Display for HybridConfigError {
 
 impl std::error::Error for HybridConfigError {}
 
-/// Per-Coflow reassembly state while its parts run on the two fabrics.
-struct MergeState {
-    arrival: Time,
-    /// Per original flow: where its subflow(s) landed.
-    map: Vec<SubflowRef>,
-    parts_left: usize,
-    flow_finish: Vec<Time>,
-    finish: Time,
-    setups: u64,
-    first_service: Option<Time>,
-}
-
 /// The hybrid circuit/packet fabric as one [`SchedulingBackend`]: a
 /// [`SunflowBackend`] (full-rate circuits) and a [`PacketBackend`]
-/// (slim fair-shared fabric) on one clock, with a
-/// [`SplitPolicy`](sunflow_core::SplitPolicy) routing every arriving
-/// Coflow's bytes between them at admission time.
+/// (slim fair-shared fabric) on one clock, with a [`SplitPolicy`]
+/// routing every arriving Coflow's bytes between them at admission time.
 ///
 /// Splitting happens at *admission*, not submission: the policy sees
 /// the live circuit PRT and the packet backlog as they are when the
 /// Coflow arrives, so load-aware policies route against current — not
-/// stale — fabric state. Completions are reassembled per Coflow (`max`
-/// over parts, per-flow finishes mapped back through the carve), and
-/// the split counters feed
+/// stale — fabric state. The split counters feed
 /// [`ReplayStats::subflows_split`], [`ReplayStats::bytes_to_packet`]
 /// and [`ReplayStats::split_evals`].
-pub struct HybridBackend<'p> {
+pub type HybridBackend<'p> = Partitioned<HybridRouter<'p>>;
+
+/// The `Router` of [`HybridBackend`]: part 0 is the circuit network,
+/// part 1 the packet network.
+pub struct HybridRouter<'p> {
     circuit: SunflowBackend<'p>,
     packet: PacketBackend<'static>,
     split: Box<dyn SplitPolicy + Send + 'p>,
-    /// The full-rate fabric: admission validation and split context.
+    /// The full-rate fabric, for the split context.
     fabric: Fabric,
     packet_fabric: Fabric,
     /// Planning configuration for circuit-side probes.
     sunflow: SunflowConfig,
-    now: Time,
-    /// Future arrivals, held until their instant so the split policy
-    /// decides against the live fabric state, keyed by (arrival, id) —
-    /// admission order matches batch submission.
-    pending: BTreeMap<(Time, u64), Coflow>,
-    ids: HashSet<u64>,
-    merge: HashMap<u64, MergeState>,
-    completions: Vec<Completion>,
     subflows_split: u64,
     bytes_to_packet: u64,
     split_evals: u64,
     circuit_subflows: usize,
-    packet_subflows: usize,
 }
 
 impl<'p> HybridBackend<'p> {
@@ -160,156 +140,51 @@ impl<'p> HybridBackend<'p> {
         let packet_bw =
             Bandwidth::from_bps(((fabric.bandwidth().as_bps() as f64) * frac).max(1.0) as u64);
         let packet_fabric = Fabric::new(fabric.ports(), packet_bw, fabric.delta());
-        Ok(HybridBackend {
+        let router = HybridRouter {
             circuit: SunflowBackend::new(fabric, &config.online, policy),
             packet: PacketBackend::new(&packet_fabric, Box::new(FairSharing)),
             split,
             fabric: *fabric,
             packet_fabric,
             sunflow: config.online.sunflow,
-            now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
-            merge: HashMap::new(),
-            completions: Vec::new(),
             subflows_split: 0,
             bytes_to_packet: 0,
             split_evals: 0,
             circuit_subflows: 0,
-            packet_subflows: 0,
-        })
+        };
+        Ok(Partitioned::with_router(fabric, router))
     }
 
     /// The split policy's name, for metric labels.
     pub fn split_name(&self) -> &'static str {
-        self.split.name()
+        self.router.split.name()
     }
 
     /// The circuit side's replay counters.
     pub fn circuit_stats(&self) -> ReplayStats {
-        self.circuit.stats().unwrap_or_default()
+        self.router.circuit.stats().unwrap_or_default()
     }
 
     /// The packet side's replay counters (fluid events and re-rating
     /// time; circuit-specific counters stay zero).
     pub fn packet_stats(&self) -> ReplayStats {
-        self.packet.stats().unwrap_or_default()
+        self.router.packet.stats().unwrap_or_default()
     }
 
     /// Subflows that carried bytes on the circuit network so far.
     pub fn circuit_subflows(&self) -> usize {
-        self.circuit_subflows
+        self.router.circuit_subflows
     }
 
     /// Subflows that carried bytes on the packet network so far.
     pub fn packet_subflows(&self) -> usize {
-        self.packet_subflows
-    }
-
-    /// Split and admit every pending Coflow due at or before `t`,
-    /// consulting the split policy against the live fabric state.
-    fn admit_due(&mut self, t: Time) -> u64 {
-        let mut n = 0u64;
-        while let Some(&(arrival, id)) = self.pending.keys().next() {
-            if arrival > t {
-                break;
-            }
-            let c = self.pending.remove(&(arrival, id)).expect("peeked");
-            let backlog = self.packet.port_backlog();
-            let stepper = self.circuit.stepper();
-            let queue = |key| stepper.outranking_backlog(key);
-            let ctx = SplitContext {
-                now: arrival,
-                circuit: &self.fabric,
-                packet: &self.packet_fabric,
-                prt: Some(stepper.prt()),
-                packet_outstanding: self.packet.outstanding_demand(),
-                packet_backlog: Some(&backlog),
-                circuit_queue: Some(&queue),
-                config: self.sunflow,
-            };
-            let decision = self.split.split(&c, &ctx);
-            self.split_evals += decision.evals;
-            self.subflows_split += decision.split.packet_subflows() as u64;
-            self.bytes_to_packet += decision.split.bytes_to_packet();
-            self.circuit_subflows += decision.split.circuit_subflows();
-            self.packet_subflows += decision.split.packet_subflows();
-            let parts = decision.split.carve(&c);
-            self.merge.insert(
-                id,
-                MergeState {
-                    arrival,
-                    map: parts.map,
-                    parts_left: parts.circuit.is_some() as usize + parts.packet.is_some() as usize,
-                    flow_finish: vec![Time::ZERO; c.num_flows()],
-                    finish: arrival,
-                    setups: 0,
-                    first_service: None,
-                },
-            );
-            if let Some(part) = parts.circuit {
-                self.circuit
-                    .submit(part)
-                    .expect("part was validated at submission");
-                n += 1;
-            }
-            if let Some(part) = parts.packet {
-                self.packet
-                    .submit(part)
-                    .expect("part was validated at submission");
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Drain per-fabric completions into the per-Coflow merge states,
-    /// emitting a merged [`Completion`] once the last part lands. A
-    /// byte-split flow finishes when both of its subflows have (`max`).
-    fn absorb_completions(&mut self) {
-        let circuit = self.circuit.drain_completions();
-        let packet = self.packet.drain_completions();
-        let tagged = circuit
-            .into_iter()
-            .map(|p| (false, p))
-            .chain(packet.into_iter().map(|p| (true, p)));
-        for (on_packet, part) in tagged {
-            let id = part.outcome.coflow;
-            let st = self
-                .merge
-                .get_mut(&id)
-                .expect("completion for an unknown part");
-            for (orig, r) in st.map.iter().enumerate() {
-                let idx = if on_packet { r.packet } else { r.circuit };
-                if let Some(pi) = idx {
-                    st.flow_finish[orig] = st.flow_finish[orig].max(part.outcome.flow_finish[pi]);
-                }
-            }
-            st.finish = st.finish.max(part.outcome.finish);
-            st.setups += part.outcome.circuit_setups;
-            st.first_service = match (st.first_service, part.first_service) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            st.parts_left -= 1;
-            if st.parts_left == 0 {
-                let st = self.merge.remove(&id).expect("present");
-                self.completions.push(Completion {
-                    outcome: ScheduleOutcome {
-                        coflow: id,
-                        start: st.arrival,
-                        finish: st.finish,
-                        flow_finish: st.flow_finish,
-                        circuit_setups: st.setups,
-                    },
-                    first_service: st.first_service,
-                });
-            }
-        }
+        self.router.subflows_split as usize
     }
 }
 
-impl SchedulingBackend for HybridBackend<'_> {
+impl Router for HybridRouter<'_> {
+    const CORES: bool = false;
+
     fn name(&self) -> &'static str {
         "Hybrid"
     }
@@ -318,123 +193,63 @@ impl SchedulingBackend for HybridBackend<'_> {
         "hybrid"
     }
 
-    fn now(&self) -> Time {
-        self.now
+    fn parts(&self) -> usize {
+        2
     }
 
-    fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
+    fn part(&self, i: usize) -> &dyn SchedulingBackend {
+        match i {
+            0 => &self.circuit,
+            _ => &self.packet,
         }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
+    }
+
+    fn part_mut(&mut self, i: usize) -> &mut dyn SchedulingBackend {
+        match i {
+            0 => &mut self.circuit,
+            _ => &mut self.packet,
         }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
+    }
+
+    /// Consult the split policy against the live fabric state.
+    fn route(&mut self, c: &Coflow) -> Division {
+        let backlog = self.packet.port_backlog();
+        let stepper = self.circuit.stepper();
+        let queue = |key| stepper.outranking_backlog(key);
+        let ctx = SplitContext {
+            now: c.arrival(),
+            circuit: &self.fabric,
+            packet: &self.packet_fabric,
+            prt: Some(stepper.prt()),
+            packet_outstanding: self.packet.outstanding_demand(),
+            packet_backlog: Some(&backlog),
+            circuit_queue: Some(&queue),
+            config: self.sunflow,
+        };
+        let decision = self.split.split(c, &ctx);
+        self.split_evals += decision.evals;
+        self.subflows_split += decision.split.packet_subflows() as u64;
+        self.bytes_to_packet += decision.split.bytes_to_packet();
+        self.circuit_subflows += decision.split.circuit_subflows();
+        let carved = decision.split.carve(c);
+        let mut subflows = Vec::with_capacity(carved.map.len());
+        for (f, r) in carved.map.iter().enumerate() {
+            subflows.extend(r.circuit.map(|i| (f, 0, i)));
+            subflows.extend(r.packet.map(|i| (f, 1, i)));
         }
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
-        Ok(())
-    }
-
-    fn next_event_time(&self) -> Option<Time> {
-        let arrival = self.pending.keys().next().map(|&(a, _)| a);
-        let inner = [
-            self.circuit.next_event_time(),
-            self.packet.next_event_time(),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        [arrival, inner].into_iter().flatten().min()
-    }
-
-    fn advance_to(&mut self, deadline: Time, hook: &mut dyn SettleHook) -> u64 {
-        let mut processed = 0u64;
-        while let Some(t) = self.next_event_time() {
-            if t > deadline {
-                break;
-            }
-            // Admit first so a sub-backend sees arrivals due at `t`
-            // before it plans at `t` — identical to batch submission,
-            // where the arrival already sits in its queue.
-            processed += self.admit_due(t);
-            // Advance each side only when its own event is due — the
-            // engine's rule, so every sub-backend observes exactly the
-            // `advance_to` sequence it would produce running alone.
-            if self.circuit.next_event_time().is_some_and(|e| e <= t) {
-                processed += self.circuit.advance_to(t, hook);
-            }
-            if self.packet.next_event_time().is_some_and(|e| e <= t) {
-                processed += self.packet.advance_to(t, hook);
-            }
-            self.absorb_completions();
-            self.now = self.now.max(t);
+        Division {
+            parts: vec![carved.circuit, carved.packet],
+            subflows,
         }
-        if deadline != Time::MAX {
-            // Nothing happens strictly between events; float the
-            // circuit clock to the deadline so later submissions cannot
-            // rewrite the span. The packet side is deliberately *not*
-            // floated: its fluids drain linearly at rates that only
-            // change at its own events, and splitting a span into more
-            // `progress` calls would perturb the floating-point
-            // remainders — advancing it lazily keeps the replay
-            // bit-identical to the engine composition.
-            self.circuit.advance_to(deadline, hook);
-            self.absorb_completions();
-            self.now = self.now.max(deadline);
-        }
-        processed
     }
 
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.merge.is_empty()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.merge.len()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.pending.len() + self.circuit.queued_arrivals() + self.packet.queued_arrivals()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        self.circuit.outstanding_demand() + self.packet.outstanding_demand()
-    }
-
-    fn deferred_flows(&self) -> usize {
-        self.circuit.deferred_flows()
-    }
-
-    fn guard_windows(&self) -> u64 {
-        self.circuit.guard_windows()
-    }
-
-    fn stats(&self) -> Option<ReplayStats> {
-        let mut total = ReplayStats {
+    fn stats(&self) -> ReplayStats {
+        ReplayStats {
             subflows_split: self.subflows_split,
             bytes_to_packet: self.bytes_to_packet,
             split_evals: self.split_evals,
             ..ReplayStats::default()
-        };
-        total.absorb(&self.circuit_stats());
-        total.absorb(&self.packet_stats());
-        Some(total)
-    }
-
-    fn compact_history(&mut self) -> usize {
-        self.circuit.compact_history()
+        }
     }
 }
 
@@ -496,7 +311,7 @@ pub fn simulate_hybrid(
 mod tests {
     use super::*;
     use crate::online::simulate_circuit;
-    use ocs_model::Dur;
+    use ocs_model::{Dur, Time};
     use sunflow_core::{NonSplitting, ShortestFirst, SolverSplit};
 
     fn fabric() -> Fabric {

@@ -19,16 +19,20 @@
 //!   arrivals one at a time, advance to a deadline, drain completions,
 //!   inject settlement faults, snapshot/restore. The substrate of
 //!   [`SunflowBackend`].
-//! * [`multicore`] — the K-core OCS generalization: Sunflow sharded
-//!   across `K` parallel circuit planes ([`MultiSunflowBackend`]) and
-//!   the O(K)-approximation multi-core list scheduler
-//!   ([`KCoreBackend`]), both selectable through [`BackendKind`]
-//!   (`sunflow:<K>[:<assign>]`, `kcore:<K>`).
-//! * [`hybrid`] — the §6 REACToR-style hybrid as a first-class backend
-//!   ([`HybridBackend`]): a slim packet network beside the
-//!   Sunflow-scheduled circuits on one clock, with a pluggable
-//!   [`sunflow_core::SplitPolicy`] routing each arriving Coflow's bytes
-//!   between them (`hybrid:<split>[:<frac>]` in [`BackendKind`]).
+//! * [`Partitioned`] — one backend for every fabric that divides a
+//!   Coflow across parallel parts: a crate-internal router divides each
+//!   arrival, [`Partitioned`] runs the parts on one clock and merges
+//!   their completions. Three routers back three selectors:
+//!   * [`multicore`] — the K-core OCS generalization: Sunflow sharded
+//!     across `K` parallel circuit planes ([`MultiSunflowBackend`],
+//!     `sunflow:<K>[:<assign>]`), beside the O(K)-approximation
+//!     multi-core list scheduler ([`KCoreBackend`], `kcore:<K>`);
+//!   * [`portgroup`] — Sunflow over disjoint port groups
+//!     ([`PortGroupBackend`], `portgroups:<G>`);
+//!   * [`hybrid`] — the §6 REACToR-style hybrid ([`HybridBackend`]): a
+//!     slim packet network beside the Sunflow-scheduled circuits, with a
+//!     pluggable [`sunflow_core::SplitPolicy`] routing each arriving
+//!     Coflow's bytes between them (`hybrid:<split>[:<frac>]`).
 //! * [`aggregate`] — the §3.2 straw man, measured: Solstice/TMS/Edmond
 //!   forced to schedule all outstanding Coflows as one aggregated demand
 //!   matrix, with FIFO service attribution.
@@ -43,6 +47,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod admission;
 pub mod aggregate;
 pub mod backend;
 pub mod engine;
@@ -50,6 +55,7 @@ pub mod hybrid;
 pub mod intra_driver;
 pub mod multicore;
 pub mod online;
+mod partitioned;
 pub mod portgroup;
 pub mod stepper;
 pub mod sweep;
@@ -64,6 +70,7 @@ pub use hybrid::{simulate_hybrid, HybridBackend, HybridConfig, HybridConfigError
 pub use intra_driver::{run_intra, IntraEngine};
 pub use multicore::{KCoreBackend, MultiSunflowBackend};
 pub use online::{simulate_circuit, ActiveCircuitPolicy, OnlineConfig, ReplayResult, ReplayStats};
+pub use partitioned::Partitioned;
 pub use portgroup::PortGroupBackend;
 pub use stepper::{
     Completion, FullService, OnlineStepper, SettleHook, SettleVerdict, StepperSnapshot, SubmitError,

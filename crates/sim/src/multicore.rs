@@ -4,17 +4,15 @@
 //! Both backends model the fabric of [`KCoreFabric`]: `K` parallel
 //! circuit planes over the same `N` hosts, each plane a full switch.
 //!
-//! * [`MultiSunflowBackend`] — one [`OnlineStepper`] per core. Arriving
-//!   Coflows are split subflow-by-subflow across cores by a pluggable
-//!   [`CoreAssign`] placement policy (consulted *at arrival time*, so
-//!   load-aware policies see the live per-core byte loads), and each
-//!   part replays independently on its core's stepper. The parts share
-//!   one virtual clock — the backend advances each stepper only at its
-//!   own event instants, exactly like the engine composes backends —
-//!   and a Coflow completes when its last part does. With `K = 1`
-//!   every placement policy routes everything to core 0 and the replay
-//!   is byte-identical to the single-switch [`SunflowBackend`]
-//!   (pinned by the goldens in `kcore_regression.rs`).
+//! * [`MultiSunflowBackend`] — a [`Partitioned`] backend with one
+//!   [`SunflowBackend`] per core. Arriving Coflows are split
+//!   subflow-by-subflow across cores by a pluggable [`CoreAssign`]
+//!   placement policy (consulted *at arrival time*, so load-aware
+//!   policies see the live per-core byte loads), and each part replays
+//!   independently on its core. With `K = 1` every placement policy
+//!   routes everything to core 0 and the replay is byte-identical to
+//!   the single-switch [`SunflowBackend`] (pinned by the goldens in
+//!   `kcore_regression.rs`).
 //! * [`KCoreBackend`] — the non-preemptive multi-core list scheduler in
 //!   the spirit of the Wang et al. O(K)-approximation analysis:
 //!   Coflows are processed shortest-effective-bottleneck first, each
@@ -23,69 +21,48 @@
 //!   [`CorePlan`] of `K` PRT shards. Reservations are never truncated
 //!   once made (strict non-preemption, the property the approximation
 //!   bound needs); a shorted settlement re-plans only the shortfall.
-//!
-//! [`SunflowBackend`]: crate::backend::SunflowBackend
 
-use crate::backend::{CoreStatus, SchedulingBackend};
+use crate::admission::Admission;
+use crate::backend::{CoreStatus, SchedulingBackend, SunflowBackend};
 use crate::online::{OnlineConfig, ReplayStats};
+use crate::partitioned::{Division, Partitioned, Router};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_model::{
     packet_lower_bound, Coflow, Dur, Fabric, Flow, FlowRef, KCoreFabric, Reservation,
     ScheduleOutcome, Time,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use sunflow_core::{
     partition_by_core, schedule_demands_on, CoreAssign, CoreAssignKind, CoreLoad, CorePlan, Demand,
     PriorityPolicy, ScheduleScratch, SunflowConfig,
 };
 
 // ---------------------------------------------------------------------
-// MultiSunflowBackend
+// sunflow:<K>
 // ---------------------------------------------------------------------
 
-/// Per-Coflow reassembly state while its parts run on their cores.
-struct MergeState {
-    arrival: Time,
-    /// Per original flow: `(core, index within that core's part)`.
-    map: Vec<(usize, usize)>,
-    /// Per original flow: `(core, src, dst, bytes)` — released from the
-    /// load gauge when the Coflow completes.
-    placed: Vec<(usize, usize, usize, u64)>,
-    parts_left: usize,
-    flow_finish: Vec<Time>,
-    finish: Time,
-    setups: u64,
-    first_service: Option<Time>,
-}
+/// Sunflow generalized to a [`KCoreFabric`] (selector
+/// `sunflow:<K>[:<assign>]`): `K` independent Sunflow cores (one PRT
+/// shard each) behind one clock, with a [`CoreAssign`] policy splitting
+/// every arriving Coflow across them.
+pub type MultiSunflowBackend<'p> = Partitioned<CoreRouter<'p>>;
 
-/// Sunflow generalized to a [`KCoreFabric`]: `K` independent
-/// [`OnlineStepper`]s (one PRT shard each) behind one clock, with a
-/// [`CoreAssign`] policy splitting every arriving Coflow across them.
-///
-/// Cross-core replans are port-disjoint by construction — each stepper
-/// owns its shard outright — so they compose with the stepper's own
-/// parallel rank segments without coordination.
-pub struct MultiSunflowBackend<'p> {
-    fabric: Fabric,
-    steppers: Vec<OnlineStepper>,
-    policy: Box<dyn PriorityPolicy + 'p>,
+/// The `Router` of [`MultiSunflowBackend`]: places each arriving
+/// Coflow's flows on cores against the live per-core byte loads, and
+/// releases a Coflow's load when it completes.
+pub struct CoreRouter<'p> {
+    cores: Vec<SunflowBackend<'p>>,
     assign: Box<dyn CoreAssign + Send>,
     load: CoreLoad,
-    now: Time,
-    /// Future arrivals, split at admission time: (arrival, id) order
-    /// matches the stepper's own arrival queue, so splitting at arrival
-    /// admits Coflows in exactly the order batch submission would.
-    pending: BTreeMap<(Time, u64), Coflow>,
-    ids: HashSet<u64>,
-    merge: HashMap<u64, MergeState>,
-    completions: Vec<Completion>,
-    /// Per-core processing time admitted so far (telemetry gauge).
-    admitted: Vec<Dur>,
+    /// Per active Coflow: `(core, src, dst, bytes)` of every flow, held
+    /// on the load gauge until the Coflow completes.
+    placed: HashMap<u64, Vec<(usize, usize, usize, u64)>>,
 }
 
 impl<'p> MultiSunflowBackend<'p> {
-    /// A `K`-core Sunflow backend under `config`, `policy` and the
-    /// placement policy `assign`.
+    /// A `K`-core Sunflow backend under `config`, `policy` (shared by
+    /// every core) and the placement policy `assign`.
     pub fn new(
         fabric: &KCoreFabric,
         config: &OnlineConfig,
@@ -93,271 +70,63 @@ impl<'p> MultiSunflowBackend<'p> {
         assign: Box<dyn CoreAssign + Send>,
     ) -> MultiSunflowBackend<'p> {
         let core = fabric.core();
-        MultiSunflowBackend {
-            fabric: core,
-            steppers: (0..fabric.cores())
-                .map(|_| OnlineStepper::new(&core, config))
+        let policy: Rc<dyn PriorityPolicy + 'p> = Rc::from(policy);
+        let router = CoreRouter {
+            cores: (0..fabric.cores())
+                .map(|_| SunflowBackend::shared(&core, config, policy.clone()))
                 .collect(),
-            policy,
             assign,
             load: CoreLoad::new(fabric.cores(), core.ports()),
-            now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
-            merge: HashMap::new(),
-            completions: Vec::new(),
-            admitted: vec![Dur::ZERO; fabric.cores()],
-        }
+            placed: HashMap::new(),
+        };
+        Partitioned::with_router(&core, router)
     }
 
     /// One core's stepper (read-only), e.g. for PRT inspection.
     pub fn stepper(&self, core: usize) -> &OnlineStepper {
-        &self.steppers[core]
+        self.router.cores[core].stepper()
     }
 
     /// The placement policy's name.
     pub fn assign_name(&self) -> &'static str {
-        self.assign.name()
-    }
-
-    /// Split and admit every pending Coflow due at or before `t`.
-    fn admit_due(&mut self, t: Time) -> u64 {
-        let mut n = 0u64;
-        while let Some(&(arrival, id)) = self.pending.keys().next() {
-            if arrival > t {
-                break;
-            }
-            let c = self.pending.remove(&(arrival, id)).expect("peeked");
-            let cores = self.steppers.len();
-            let assignment = self.assign.assign(&c, cores, &self.load);
-            let (parts, map) = partition_by_core(&c, &assignment, cores);
-            let mut placed = Vec::with_capacity(c.num_flows());
-            for (f, &core) in c.flows().iter().zip(&assignment) {
-                self.load.add(core, f.src, f.dst, f.bytes);
-                placed.push((core, f.src, f.dst, f.bytes));
-            }
-            self.merge.insert(
-                id,
-                MergeState {
-                    arrival,
-                    map,
-                    placed,
-                    parts_left: parts.iter().flatten().count(),
-                    flow_finish: vec![Time::ZERO; c.num_flows()],
-                    finish: arrival,
-                    setups: 0,
-                    first_service: None,
-                },
-            );
-            for (core, part) in parts.into_iter().enumerate() {
-                let Some(part) = part else { continue };
-                self.admitted[core] += part
-                    .flows()
-                    .iter()
-                    .map(|f| self.fabric.processing_time(f.bytes))
-                    .sum::<Dur>();
-                self.steppers[core]
-                    .submit(part, self.policy.as_ref())
-                    .expect("part was validated at submission");
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Drain per-core completions into the per-Coflow merge states,
-    /// emitting a merged [`Completion`] once the last part lands.
-    fn absorb_completions(&mut self) {
-        for core in 0..self.steppers.len() {
-            for part in self.steppers[core].drain_completions() {
-                let id = part.outcome.coflow;
-                let st = self
-                    .merge
-                    .get_mut(&id)
-                    .expect("completion for an unknown part");
-                for (orig, &(pc, pi)) in st.map.iter().enumerate() {
-                    if pc == core {
-                        st.flow_finish[orig] = part.outcome.flow_finish[pi];
-                    }
-                }
-                st.finish = st.finish.max(part.outcome.finish);
-                st.setups += part.outcome.circuit_setups;
-                st.first_service = match (st.first_service, part.first_service) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                st.parts_left -= 1;
-                if st.parts_left == 0 {
-                    let st = self.merge.remove(&id).expect("present");
-                    for &(c, src, dst, bytes) in &st.placed {
-                        self.load.remove(c, src, dst, bytes);
-                    }
-                    self.completions.push(Completion {
-                        outcome: ScheduleOutcome {
-                            coflow: id,
-                            start: st.arrival,
-                            finish: st.finish,
-                            flow_finish: st.flow_finish,
-                            circuit_setups: st.setups,
-                        },
-                        first_service: st.first_service,
-                    });
-                }
-            }
-        }
+        self.router.assign.name()
     }
 }
 
-impl SchedulingBackend for MultiSunflowBackend<'_> {
-    fn name(&self) -> &'static str {
-        "Sunflow"
+impl Router for CoreRouter<'_> {
+    fn parts(&self) -> usize {
+        self.cores.len()
     }
 
-    fn switch_model(&self) -> &'static str {
-        "not-all-stop"
+    fn part(&self, i: usize) -> &dyn SchedulingBackend {
+        &self.cores[i]
     }
 
-    fn now(&self) -> Time {
-        self.now
+    fn part_mut(&mut self, i: usize) -> &mut dyn SchedulingBackend {
+        &mut self.cores[i]
     }
 
-    fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
-        Ok(())
-    }
-
-    fn next_event_time(&self) -> Option<Time> {
-        let arrival = self.pending.keys().next().map(|&(a, _)| a);
-        let inner = self
-            .steppers
+    fn route(&mut self, coflow: &Coflow) -> Division {
+        let k = self.cores.len();
+        let assignment = self.assign.assign(coflow, k, &self.load);
+        let (parts, map) = partition_by_core(coflow, &assignment, k);
+        let placed = coflow
+            .flows()
             .iter()
-            .filter_map(OnlineStepper::next_event_time)
-            .min();
-        [arrival, inner].into_iter().flatten().min()
+            .zip(&assignment)
+            .map(|(f, &core)| {
+                self.load.add(core, f.src, f.dst, f.bytes);
+                (core, f.src, f.dst, f.bytes)
+            })
+            .collect();
+        self.placed.insert(coflow.id(), placed);
+        Division::whole_flows(parts, &map)
     }
 
-    fn advance_to(&mut self, deadline: Time, hook: &mut dyn SettleHook) -> u64 {
-        let mut processed = 0u64;
-        loop {
-            let arrival = self.pending.keys().next().map(|&(a, _)| a);
-            let inner = self
-                .steppers
-                .iter()
-                .filter_map(OnlineStepper::next_event_time)
-                .min();
-            let Some(t) = [arrival, inner].into_iter().flatten().min() else {
-                break;
-            };
-            if t > deadline {
-                break;
-            }
-            // Admit first so a stepper sees arrivals due at `t` before
-            // it plans at `t` — identical to batch submission, where the
-            // arrival already sits in its queue.
-            processed += self.admit_due(t);
-            for s in &mut self.steppers {
-                if s.next_event_time().is_some_and(|e| e <= t) {
-                    processed += s.run_until_with(t, self.policy.as_ref(), hook);
-                }
-            }
-            self.absorb_completions();
-            self.now = self.now.max(t);
+    fn release(&mut self, id: u64) {
+        for (core, src, dst, bytes) in self.placed.remove(&id).expect("routed coflow") {
+            self.load.remove(core, src, dst, bytes);
         }
-        if deadline != Time::MAX {
-            // Nothing happens strictly between events; float every core
-            // to the deadline so later submissions cannot rewrite the
-            // span (the steppers float their own clocks the same way).
-            for s in &mut self.steppers {
-                s.run_until_with(deadline, self.policy.as_ref(), hook);
-            }
-            self.absorb_completions();
-            self.now = self.now.max(deadline);
-        }
-        processed
-    }
-
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.merge.is_empty()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.merge.len()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.pending.len()
-            + self
-                .steppers
-                .iter()
-                .map(OnlineStepper::queued_arrivals)
-                .sum::<usize>()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        self.steppers
-            .iter()
-            .map(OnlineStepper::outstanding_demand)
-            .sum()
-    }
-
-    fn deferred_flows(&self) -> usize {
-        self.steppers
-            .iter()
-            .map(OnlineStepper::deferred_flows)
-            .sum()
-    }
-
-    fn guard_windows(&self) -> u64 {
-        self.steppers.iter().map(OnlineStepper::guard_windows).sum()
-    }
-
-    fn stats(&self) -> Option<ReplayStats> {
-        let mut total = ReplayStats::default();
-        for s in &self.steppers {
-            total.absorb(&s.stats());
-        }
-        Some(total)
-    }
-
-    fn compact_history(&mut self) -> usize {
-        self.steppers
-            .iter_mut()
-            .map(OnlineStepper::compact_history)
-            .sum()
-    }
-
-    fn cores(&self) -> usize {
-        self.steppers.len()
-    }
-
-    fn core_status(&self, core: usize) -> Option<CoreStatus> {
-        let s = self.steppers.get(core)?;
-        Some(CoreStatus {
-            active_coflows: s.active_coflows(),
-            outstanding_demand: s.outstanding_demand(),
-            demand_admitted: self.admitted[core],
-            reservations_made: s.stats().reservations_made,
-        })
     }
 }
 
@@ -408,8 +177,7 @@ pub struct KCoreBackend {
     assign: Box<dyn CoreAssign + Send>,
     load: CoreLoad,
     now: Time,
-    pending: BTreeMap<(Time, u64), Coflow>,
-    ids: HashSet<u64>,
+    queue: Admission,
     active: HashMap<u64, ActiveKc>,
     /// Planned circuits keyed by (settle instant, sequence).
     settle: BTreeMap<(Time, u64), SettleItem>,
@@ -440,8 +208,7 @@ impl KCoreBackend {
             assign: assign.build(),
             load: CoreLoad::new(fabric.cores(), core.ports()),
             now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
+            queue: Admission::new(&core),
             active: HashMap::new(),
             settle: BTreeMap::new(),
             retries: BTreeMap::new(),
@@ -493,16 +260,10 @@ impl KCoreBackend {
         self.stats.reschedule_micros += t0.elapsed().as_micros() as u64;
     }
 
-    /// Admit every pending Coflow due at or before `t`, shortest
+    /// Admit every queued Coflow due at or before `t`, shortest
     /// effective bottleneck first.
     fn admit_due(&mut self, t: Time) -> u64 {
-        let mut due: Vec<Coflow> = Vec::new();
-        while let Some(&(arrival, id)) = self.pending.keys().next() {
-            if arrival > t {
-                break;
-            }
-            due.push(self.pending.remove(&(arrival, id)).expect("peeked"));
-        }
+        let mut due: Vec<Coflow> = std::iter::from_fn(|| self.queue.pop_due(t)).collect();
         if due.is_empty() {
             return 0;
         }
@@ -595,36 +356,20 @@ impl KCoreBackend {
             // Interleave settles and retries in time order (sequence
             // numbers order same-instant events by creation).
             let take_settle = match (next_settle, next_retry) {
-                (Some(s), Some(r)) => {
-                    if s <= r {
-                        true
-                    } else if r.0 > t {
-                        break;
-                    } else {
-                        false
-                    }
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
+                (Some(s), Some(r)) => s <= r,
+                (s, _) => s.is_some(),
             };
+            let next = if take_settle { next_settle } else { next_retry };
+            let Some(key) = next.filter(|k| k.0 <= t) else {
+                break;
+            };
+            n += 1;
+            self.stats.events += 1;
             if take_settle {
-                let (key, item) = self.settle.pop_first().expect("peeked");
-                if key.0 > t {
-                    self.settle.insert(key, item);
-                    break;
-                }
-                n += 1;
-                self.stats.events += 1;
+                let item = self.settle.remove(&key).expect("peeked");
                 self.settle_one(key.0, item, hook);
             } else {
-                let (key, (id, fi)) = self.retries.pop_first().expect("peeked");
-                if key.0 > t {
-                    self.retries.insert(key, (id, fi));
-                    break;
-                }
-                n += 1;
-                self.stats.events += 1;
+                let (id, fi) = self.retries.remove(&key).expect("peeked");
                 self.replan_flow(id, fi, key.0);
             }
         }
@@ -730,28 +475,11 @@ impl SchedulingBackend for KCoreBackend {
     }
 
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
-        Ok(())
+        self.queue.submit(coflow, self.now, |_| Ok(()))
     }
 
     fn next_event_time(&self) -> Option<Time> {
-        let arrival = self.pending.keys().next().map(|&(a, _)| a);
+        let arrival = self.queue.next_arrival();
         let settle = self.settle.keys().next().map(|&(t, _)| t);
         let retry = self.retries.keys().next().map(|&(t, _)| t);
         [arrival, settle, retry].into_iter().flatten().min()
@@ -780,7 +508,7 @@ impl SchedulingBackend for KCoreBackend {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.active.is_empty()
+        self.queue.is_empty() && self.active.is_empty()
     }
 
     fn active_coflows(&self) -> usize {
@@ -788,7 +516,7 @@ impl SchedulingBackend for KCoreBackend {
     }
 
     fn queued_arrivals(&self) -> usize {
-        self.pending.len()
+        self.queue.len()
     }
 
     fn outstanding_demand(&self) -> Dur {

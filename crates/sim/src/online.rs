@@ -86,10 +86,10 @@ pub struct OnlineConfig {
     /// equivalence tests.
     pub full_replan: bool,
     /// Worker threads for the scoped replanner's port-disjoint rank
-    /// segments: `0` (the default) resolves to the host's available
-    /// parallelism; `1` forces sequential planning. Segments are planned
-    /// on scoped threads and merged deterministically, so the thread
-    /// count never changes outcomes — only wall-clock.
+    /// segments: `1` (the default) plans sequentially; `0` resolves to
+    /// the host's available parallelism. Segments are planned on scoped
+    /// threads and merged deterministically, so the thread count never
+    /// changes outcomes — only wall-clock.
     pub replan_threads: usize,
 }
 
@@ -100,7 +100,7 @@ impl Default for OnlineConfig {
             active_policy: ActiveCircuitPolicy::Yield,
             guard: None,
             full_replan: false,
-            replan_threads: 0,
+            replan_threads: 1,
         }
     }
 }
@@ -131,8 +131,8 @@ impl OnlineConfig {
         self
     }
 
-    /// Set the scoped replanner's worker-thread count (`0` = all cores,
-    /// `1` = sequential). Outcome-neutral; see
+    /// Set the scoped replanner's worker-thread count (`1` = sequential,
+    /// the default; `0` = all cores). Outcome-neutral; see
     /// [`OnlineConfig::replan_threads`].
     pub fn replan_threads(mut self, threads: usize) -> OnlineConfig {
         self.replan_threads = threads;
@@ -214,11 +214,6 @@ pub struct ReplayStats {
     /// the table holds only the working set (active and planned
     /// circuits) instead of the whole trace history.
     pub reservations_retired: u64,
-    /// Event rounds a port-group backend advanced two or more shards on
-    /// scoped worker threads (requires an inert settle hook, cloneable
-    /// policies and `replan_threads` resolving above 1). Zero for
-    /// unsharded backends and on single-core hosts.
-    pub parallel_shard_advances: u64,
     /// Subflows a hybrid backend carved off to the packet fabric
     /// (whole-flow routing and byte-level carving both count). Zero for
     /// single-fabric backends.
@@ -254,7 +249,6 @@ impl ReplayStats {
             replan_segments,
             parallel_replans,
             reservations_retired,
-            parallel_shard_advances,
             subflows_split,
             bytes_to_packet,
             split_evals,
@@ -274,7 +268,6 @@ impl ReplayStats {
         self.replan_segments += replan_segments;
         self.parallel_replans += parallel_replans;
         self.reservations_retired += reservations_retired;
-        self.parallel_shard_advances += parallel_shard_advances;
         self.subflows_split += subflows_split;
         self.bytes_to_packet += bytes_to_packet;
         self.split_evals += split_evals;

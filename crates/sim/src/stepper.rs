@@ -200,16 +200,6 @@ pub trait SettleHook {
     /// Judge one settling circuit. `now` is the event time doing the
     /// settling (`resv.end <= now`).
     fn on_settle(&mut self, resv: &Reservation, available: Dur, now: Time) -> SettleVerdict;
-
-    /// `true` when this hook is behaviorally identical to [`FullService`]
-    /// — `on_settle` always grants the full available window and keeps no
-    /// state. Sharded backends use this to substitute a private
-    /// `FullService` per worker thread and advance disjoint shards in
-    /// parallel; a hook that injects faults or mutates state must keep
-    /// the default `false` so every settle funnels through it serially.
-    fn is_inert(&self) -> bool {
-        false
-    }
 }
 
 /// The default [`SettleHook`]: every circuit delivers in full.
@@ -219,10 +209,6 @@ pub struct FullService;
 impl SettleHook for FullService {
     fn on_settle(&mut self, _resv: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
         SettleVerdict::full(available)
-    }
-
-    fn is_inert(&self) -> bool {
-        true
     }
 }
 
@@ -350,7 +336,6 @@ pub struct StepperSnapshot {
 /// of the Coflow alone; see `replay_regression.rs`), so switching
 /// policies mid-run would scramble the memo.
 pub struct OnlineStepper {
-    /// TEMP profiling: section nanos, printed on drop.
     fabric: Fabric,
     config: OnlineConfig,
     guard: Option<StarvationGuard>,
@@ -363,10 +348,11 @@ pub struct OnlineStepper {
     active: Vec<usize>,
     /// `is_active[idx]` ⇔ `idx ∈ active`.
     is_active: Vec<bool>,
-    /// Non-completed Coflow indices in the policy's total order,
-    /// maintained by binary insertion at submit time so each event sorts
-    /// its active subset by memoized position instead of re-deriving
-    /// priority keys per comparison.
+    /// Every submitted Coflow index not yet completed — future arrivals
+    /// included — in the policy's total order, maintained by binary
+    /// insertion at submit time so each event sorts its active subset by
+    /// memoized position instead of re-deriving priority keys per
+    /// comparison.
     priority_order: Vec<usize>,
     /// `(arrival, id, idx)` of submitted, not-yet-arrived Coflows.
     pending_arrivals: BTreeSet<(Time, u64, usize)>,
@@ -1530,7 +1516,7 @@ impl OnlineStepper {
 
 /// Resolve the configured worker count: `0` means one worker per
 /// available core (falling back to sequential if the count is opaque).
-pub(crate) fn resolve_replan_threads(config: &OnlineConfig) -> usize {
+fn resolve_replan_threads(config: &OnlineConfig) -> usize {
     match config.replan_threads {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,

@@ -9,12 +9,14 @@
 //! path and assert the very same golden fingerprints.
 //!
 //! A separate golden pins the `K = 4` least-loaded replay, so placement
-//! and multi-shard planning changes are caught too.
+//! and multi-shard planning changes are caught too. One port group
+//! (`portgroups:1`) is the same degenerate case for the port-group
+//! router and is checked alongside `K = 1`.
 
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, KCoreFabric, Time};
 use ocs_sim::{
     simulate_circuit, ActiveCircuitPolicy, FullService, MultiSunflowBackend, OnlineConfig,
-    ReplayResult, SchedulingBackend,
+    PortGroupBackend, ReplayResult, SchedulingBackend,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -81,8 +83,7 @@ fn fingerprint(r: &ReplayResult) -> u64 {
     h
 }
 
-/// Replay `coflows` on a `K`-core fabric under `assign`, reassembling a
-/// [`ReplayResult`] with outcomes in input order.
+/// Replay `coflows` on a `K`-core fabric under `assign`.
 fn run_multicore(
     coflows: &[Coflow],
     base: &Fabric,
@@ -93,6 +94,12 @@ fn run_multicore(
 ) -> ReplayResult {
     let k = KCoreFabric::new(*base, cores);
     let mut backend = MultiSunflowBackend::new(&k, cfg, Box::new(prio), assign.build());
+    replay(coflows, &mut backend)
+}
+
+/// Drain `coflows` through `backend`, reassembling a [`ReplayResult`]
+/// with outcomes in input order.
+fn replay(coflows: &[Coflow], backend: &mut dyn SchedulingBackend) -> ReplayResult {
     for c in coflows {
         backend.submit(c.clone()).expect("fixture fits the fabric");
     }
@@ -291,13 +298,21 @@ proptest! {
 
     /// `K = 1` equivalence, property-tested: on random workloads, every
     /// placement policy × every priority policy replays the K-core path
-    /// byte-identical to `simulate_circuit`.
+    /// byte-identical to `simulate_circuit`, and so does one port group
+    /// (`portgroups:1`).
     #[test]
     fn k1_equivalence(coflows in arb_workload()) {
         let f = fabric();
         let cfg = OnlineConfig::default();
         for (pname, prio) in policies(&coflows) {
             let single = simulate_circuit(&coflows, &f, &cfg, prio.as_ref());
+            let mut one_group = PortGroupBackend::new(&f, 1, &cfg, Box::new(prio.as_ref()));
+            prop_assert_eq!(
+                fingerprint(&replay(&coflows, &mut one_group)),
+                fingerprint(&single),
+                "portgroups:1 diverged from simulate_circuit under {}",
+                pname
+            );
             for assign in CoreAssignKind::ALL {
                 let multi = run_multicore(&coflows, &f, 1, assign, &cfg, prio.as_ref());
                 prop_assert_eq!(
