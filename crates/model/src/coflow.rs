@@ -218,17 +218,10 @@ impl CoflowBuilder {
     }
 
     /// Add a flow of `bytes` bytes from input port `src` to output port
-    /// `dst`. Zero-byte flows are ignored; duplicate pairs accumulate.
+    /// `dst`. Zero-byte flows are ignored; duplicate pairs accumulate
+    /// (merged when the Coflow is built).
     pub fn flow(mut self, src: InPort, dst: OutPort, bytes: u64) -> CoflowBuilder {
-        if bytes == 0 {
-            return self;
-        }
-        if let Some(existing) = self.flows.iter_mut().find(|f| f.src == src && f.dst == dst) {
-            existing.bytes = existing
-                .bytes
-                .checked_add(bytes)
-                .expect("flow demand overflow");
-        } else {
+        if bytes != 0 {
             self.flows.push(Flow { src, dst, bytes });
         }
         self
@@ -240,30 +233,48 @@ impl CoflowBuilder {
     /// Panics if the Coflow has no flows; an empty Coflow has no defined
     /// completion time.
     pub fn build(self) -> Coflow {
-        assert!(
-            !self.flows.is_empty(),
-            "a Coflow must contain at least one flow"
-        );
-        Coflow {
-            id: self.id,
-            arrival: self.arrival,
-            flows: self.flows,
-        }
+        self.try_build()
+            .expect("a Coflow must contain at least one flow")
     }
 
     /// Like [`CoflowBuilder::build`] but returns `None` for an empty Coflow
     /// instead of panicking. Useful when filtering generated traffic.
-    pub fn try_build(self) -> Option<Coflow> {
+    pub fn try_build(mut self) -> Option<Coflow> {
         if self.flows.is_empty() {
-            None
+            return None;
+        }
+        merge_duplicate_pairs(&mut self.flows);
+        Some(Coflow {
+            id: self.id,
+            arrival: self.arrival,
+            flows: self.flows,
+        })
+    }
+}
+
+/// Fold every flow into the first flow of its `(src, dst)` pair, keeping
+/// first-occurrence order. Sorting an index keeps this O(n log n) in the
+/// flows, which run to thousands for a large M2M Coflow.
+fn merge_duplicate_pairs(flows: &mut Vec<Flow>) {
+    if flows.len() < 2 {
+        return;
+    }
+    let mut order: Vec<usize> = (0..flows.len()).collect();
+    order.sort_unstable_by_key(|&i| (flows[i].src, flows[i].dst, i));
+    let mut first = order[0];
+    for &i in &order[1..] {
+        if (flows[i].src, flows[i].dst) == (flows[first].src, flows[first].dst) {
+            flows[first].bytes = flows[first]
+                .bytes
+                .checked_add(flows[i].bytes)
+                .expect("flow demand overflow");
+            // Merged away: `flow` never stores a zero-byte flow.
+            flows[i].bytes = 0;
         } else {
-            Some(Coflow {
-                id: self.id,
-                arrival: self.arrival,
-                flows: self.flows,
-            })
+            first = i;
         }
     }
+    flows.retain(|f| f.bytes != 0);
 }
 
 #[cfg(test)]
@@ -304,6 +315,18 @@ mod tests {
         assert_eq!(c.num_flows(), 2);
         assert_eq!(c.total_bytes(), 15);
         assert_eq!(c.flows()[0].bytes, 12);
+
+        // Interleaved duplicates keep the order of first occurrence.
+        let c = mk(&[
+            (2, 2, 1),
+            (0, 1, 5),
+            (2, 2, 4),
+            (0, 1, 7),
+            (1, 1, 3),
+            (2, 2, 2),
+        ]);
+        let flows: Vec<_> = c.flows().iter().map(|f| (f.src, f.dst, f.bytes)).collect();
+        assert_eq!(flows, [(2, 2, 7), (0, 1, 12), (1, 1, 3)]);
     }
 
     #[test]

@@ -52,8 +52,8 @@ impl Pending {
     }
 }
 
-/// Recycled working memory of one replan: priority buffers, the
-/// affected-set walk's port sets and crossing counters, the per-round
+/// Recycled working memory of one replan: the rank index, the
+/// affected-set walk's flags, port sets and crossing counters, the per-round
 /// demand arena, the truncation sink, and one intra-Coflow planning
 /// scratch (wake heap included) per worker thread. Owned by the stepper
 /// and reset — never reallocated — per replan, so the steady-state
@@ -61,15 +61,14 @@ impl Pending {
 /// Derived state: deliberately excluded from snapshots.
 #[derive(Debug, Default)]
 struct ReplanScratch {
-    /// Active Coflow indices in the policy's total order.
-    prio: Vec<usize>,
-    /// Coflow id → position in the total order.
+    /// Active Coflow id → its rank (position in `priority_order`).
     rank: HashMap<u64, usize>,
-    /// Affected-set seeds, indexed like `coflows`.
+    /// Affected-set seeds, indexed by rank.
     seed: Vec<bool>,
-    /// The affected set, in priority order.
+    /// The affected set (Coflow indices), in priority order.
     dirty: Vec<usize>,
-    /// `dirty_flag[idx]` ⇔ `idx ∈ dirty` (this round).
+    /// `dirty_flag[rank]` ⇔ the Coflow at that rank is in `dirty` (this
+    /// round).
     dirty_flag: Vec<bool>,
     /// `(owner rank, src, dst)` of newly in-flight reservations.
     crossings: Vec<(usize, InPort, OutPort)>,
@@ -92,14 +91,22 @@ struct ReplanScratch {
 }
 
 impl ReplanScratch {
-    fn reset(&mut self, ports: usize, coflows: usize) {
-        self.prio.clear();
+    /// Clear every buffer and rank the active Coflows, which
+    /// `priority_order` lists in priority order.
+    fn reset(&mut self, ports: usize, priority_order: &[usize], coflows: &[Coflow]) {
+        let active = priority_order.len();
         self.rank.clear();
+        self.rank.extend(
+            priority_order
+                .iter()
+                .enumerate()
+                .map(|(rank, &idx)| (coflows[idx].id(), rank)),
+        );
         self.seed.clear();
-        self.seed.resize(coflows, false);
+        self.seed.resize(active, false);
         self.dirty.clear();
         self.dirty_flag.clear();
-        self.dirty_flag.resize(coflows, false);
+        self.dirty_flag.resize(active, false);
         self.crossings.clear();
         self.cross_in.clear();
         self.cross_in.resize(ports, 0);
@@ -323,18 +330,19 @@ pub struct StepperSnapshot {
 ///
 /// let fabric = Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10));
 /// let mut s = OnlineStepper::new(&fabric, &OnlineConfig::default());
-/// s.submit(Coflow::builder(0).flow(0, 1, 1_000_000).build(), &ShortestFirst)
-///     .unwrap();
+/// s.submit(Coflow::builder(0).flow(0, 1, 1_000_000).build()).unwrap();
 /// s.run_until(Time::from_millis(500), &ShortestFirst);
 /// let done = s.drain_completions();
 /// assert_eq!(done.len(), 1);
 /// assert_eq!(done[0].outcome.finish, Time::from_millis(18));
 /// ```
 ///
-/// The same `policy` must be passed to every call that takes one — the
-/// stepper memoizes the policy's total order incrementally (a property
-/// of the Coflow alone; see `replay_regression.rs`), so switching
-/// policies mid-run would scramble the memo.
+/// The same `policy` must be passed to every call that takes one — each
+/// arrival is binary-inserted into the policy's total order over the
+/// active Coflows (a property of the Coflow alone; see
+/// `replay_regression.rs`), so switching policies mid-run would scramble
+/// that order. Submitting does no priority work: a Coflow whose arrival
+/// is still in the future waits only in the arrival queue.
 pub struct OnlineStepper {
     fabric: Fabric,
     config: OnlineConfig,
@@ -348,11 +356,11 @@ pub struct OnlineStepper {
     active: Vec<usize>,
     /// `is_active[idx]` ⇔ `idx ∈ active`.
     is_active: Vec<bool>,
-    /// Every submitted Coflow index not yet completed — future arrivals
-    /// included — in the policy's total order, maintained by binary
-    /// insertion at submit time so each event sorts its active subset by
-    /// memoized position instead of re-deriving priority keys per
-    /// comparison.
+    /// The arrived, not-yet-completed Coflow indices (the members of
+    /// `active`) in the policy's total order: binary-inserted at arrival,
+    /// dropped at completion. A Coflow's position here is its rank, so
+    /// each event walks the priority order without re-deriving priority
+    /// keys and without visiting future arrivals.
     priority_order: Vec<usize>,
     /// `(arrival, id, idx)` of submitted, not-yet-arrived Coflows.
     pending_arrivals: BTreeSet<(Time, u64, usize)>,
@@ -544,13 +552,9 @@ impl OnlineStepper {
     }
 
     /// Submit one Coflow for scheduling. Its arrival must not precede
-    /// the stepper's clock; it becomes an arrival event at that time.
-    /// Pass the same `policy` as every other call.
-    pub fn submit(
-        &mut self,
-        coflow: Coflow,
-        policy: &dyn PriorityPolicy,
-    ) -> Result<(), SubmitError> {
+    /// the stepper's clock; it becomes an arrival event at that time,
+    /// which is when it enters the priority order.
+    pub fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
         if !self.fabric.fits(&coflow) {
             return Err(SubmitError::ExceedsFabric {
                 id: coflow.id(),
@@ -574,20 +578,6 @@ impl OnlineStepper {
         self.coflows.push(coflow);
         self.states.push(None);
         self.is_active.push(false);
-        // Binary-insert into the policy's total order (ties broken by
-        // arrival then id, exactly like `PriorityPolicy::sort`).
-        let coflows = &self.coflows;
-        let fabric = &self.fabric;
-        let new = &coflows[idx];
-        let pos = self.priority_order.partition_point(|&i| {
-            let c = &coflows[i];
-            policy
-                .compare(c, new, fabric)
-                .then_with(|| c.arrival().cmp(&new.arrival()))
-                .then_with(|| c.id().cmp(&new.id()))
-                == Ordering::Less
-        });
-        self.priority_order.insert(pos, idx);
         self.pending_arrivals.insert((arrival, id, idx));
         if arrival <= self.now {
             self.dirty = true;
@@ -806,6 +796,19 @@ impl OnlineStepper {
             });
             self.active.push(idx);
             self.is_active[idx] = true;
+            // Binary-insert into the policy's total order (ties broken by
+            // arrival then id, exactly like `PriorityPolicy::sort`).
+            let (coflows, fabric) = (&self.coflows, &self.fabric);
+            let new = &coflows[idx];
+            let pos = self.priority_order.partition_point(|&i| {
+                let c = &coflows[i];
+                policy
+                    .compare(c, new, fabric)
+                    .then_with(|| c.arrival().cmp(&new.arrival()))
+                    .then_with(|| c.id().cmp(&new.id()))
+                    == Ordering::Less
+            });
+            self.priority_order.insert(pos, idx);
             if self.scoped {
                 self.event_dirty.push(idx);
             }
@@ -837,10 +840,8 @@ impl OnlineStepper {
         });
         self.active = active;
         if any_done {
-            let (states, is_active) = (&self.states, &self.is_active);
-            // Keep not-yet-arrived (no state) and still-active entries.
-            self.priority_order
-                .retain(|&i| states[i].is_none() || is_active[i]);
+            let is_active = &self.is_active;
+            self.priority_order.retain(|&i| is_active[i]);
         }
 
         if self.active.is_empty() && self.pending_arrivals.is_empty() {
@@ -848,7 +849,7 @@ impl OnlineStepper {
         }
         self.stats.events += 1;
         let t0 = Instant::now();
-        self.replan(policy, hook);
+        self.replan(hook);
         self.resched_wall += t0.elapsed();
         self.fuel = self
             .fuel
@@ -958,7 +959,12 @@ impl OnlineStepper {
     /// Re-derive plans at the current event, then remember when we did:
     /// scoped (affected-set) when the configuration admits it, otherwise
     /// the full re-plan of every active Coflow.
-    fn replan(&mut self, _policy: &dyn PriorityPolicy, hook: &mut dyn SettleHook) {
+    fn replan(&mut self, hook: &mut dyn SettleHook) {
+        debug_assert_eq!(
+            self.priority_order.len(),
+            self.active.len(),
+            "the priority order holds exactly the active Coflows"
+        );
         if self.scoped {
             self.replan_scoped(hook);
         } else {
@@ -973,23 +979,12 @@ impl OnlineStepper {
         let delta = self.fabric.delta();
         let now = self.now;
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(self.fabric.ports(), self.coflows.len());
+        scratch.reset(self.fabric.ports(), &self.priority_order, &self.coflows);
 
-        // Priority order over the *active* coflows (also drives Yield's
-        // who-may-displace-whom decisions): filter the memoized total
-        // order — comparison-free — instead of re-running the policy.
-        scratch.prio.extend(
-            self.priority_order
-                .iter()
-                .copied()
-                .filter(|&i| self.is_active[i]),
-        );
-        for (pos, &i) in self.priority_order.iter().enumerate() {
-            if self.is_active[i] {
-                scratch.rank.insert(self.coflows[i].id(), pos);
-            }
-        }
-        let prio = std::mem::take(&mut scratch.prio);
+        // The priority order over the active Coflows (it also drives
+        // Yield's who-may-displace-whom decisions), borrowed for the
+        // replan: nothing here arrives or completes.
+        let prio = std::mem::take(&mut self.priority_order);
         let rank = std::mem::take(&mut scratch.rank);
 
         // Under Preempt every in-flight circuit is torn down immediately;
@@ -1138,7 +1133,7 @@ impl OnlineStepper {
             self.stats.reservations_truncated +=
                 untrack(&mut self.unsettled, &scratch.removed, now);
         }
-        scratch.prio = prio;
+        self.priority_order = prio;
         scratch.rank = rank;
         self.scratch = scratch;
     }
@@ -1163,27 +1158,16 @@ impl OnlineStepper {
         let now = self.now;
         let ports = self.fabric.ports();
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(ports, self.coflows.len());
+        scratch.reset(ports, &self.priority_order, &self.coflows);
 
-        scratch.prio.extend(
-            self.priority_order
-                .iter()
-                .copied()
-                .filter(|&i| self.is_active[i]),
-        );
-        for (pos, &i) in self.priority_order.iter().enumerate() {
-            if self.is_active[i] {
-                scratch.rank.insert(self.coflows[i].id(), pos);
-            }
-        }
-        let prio = std::mem::take(&mut scratch.prio);
+        let prio = std::mem::take(&mut self.priority_order);
         let rank = std::mem::take(&mut scratch.rank);
         let mut cross_ports = scratch.cross_ports.take().expect("reset populates");
         let mut dirty_ports = scratch.dirty_ports.take().expect("reset populates");
 
         for idx in std::mem::take(&mut self.event_dirty) {
-            if self.is_active[idx] {
-                scratch.seed[idx] = true;
+            if let Some(&rk) = rank.get(&self.coflows[idx].id()) {
+                scratch.seed[rk] = true;
             }
         }
         // Reservations that went in flight since the last re-plan, tagged
@@ -1214,12 +1198,9 @@ impl OnlineStepper {
 
         loop {
             // Close the affected set down the priority order.
-            for &idx in &scratch.dirty {
-                scratch.dirty_flag[idx] = false;
-            }
+            scratch.dirty_flag.fill(false);
             scratch.dirty.clear();
-            for &idx in &prio {
-                let my_rank = rank[&self.coflows[idx].id()];
+            for (my_rank, &idx) in prio.iter().enumerate() {
                 // Crossings owned at or above this rank are no longer
                 // news from here down.
                 while next_cross < scratch.crossings.len()
@@ -1236,13 +1217,13 @@ impl OnlineStepper {
                     }
                     next_cross += 1;
                 }
-                if scratch.seed[idx]
+                if scratch.seed[my_rank]
                     || self.footprints[idx].intersects(&dirty_ports)
                     || self.footprints[idx].intersects(&cross_ports)
                 {
                     dirty_ports.union_with(&self.footprints[idx]);
                     scratch.dirty.push(idx);
-                    scratch.dirty_flag[idx] = true;
+                    scratch.dirty_flag[my_rank] = true;
                 }
             }
             self.stats.coflows_rescheduled += scratch.dirty.len() as u64;
@@ -1259,7 +1240,11 @@ impl OnlineStepper {
             // before); other Coflows' credit is never looked up.
             scratch.pending.clear();
             for r in self.unsettled.iter() {
-                if r.start < now && scratch.dirty_flag[self.id_to_idx[&r.flow.coflow]] {
+                if r.start < now
+                    && rank
+                        .get(&r.flow.coflow)
+                        .is_some_and(|&rk| scratch.dirty_flag[rk])
+                {
                     *scratch.pending.entry(r.flow).or_insert(Dur::ZERO) += r.transmit_time(delta);
                 }
             }
@@ -1492,7 +1477,7 @@ impl OnlineStepper {
                 self.prt.cut_reservation(p.src, p.start, now);
                 self.unsettled.remove(p);
                 self.unsettled.insert(Pending { end: now, ..*p });
-                scratch.seed[self.id_to_idx[&p.flow.coflow]] = true;
+                scratch.seed[rank[&p.flow.coflow]] = true;
                 dirty_ports.insert_in(p.src);
                 dirty_ports.insert_out(p.dst);
             }
@@ -1500,13 +1485,13 @@ impl OnlineStepper {
             // shortfall verdict here seeds its Coflow for next round.
             self.settle_flows(now, hook);
             for idx in std::mem::take(&mut self.event_dirty) {
-                if self.is_active[idx] {
-                    scratch.seed[idx] = true;
+                if let Some(&rk) = rank.get(&self.coflows[idx].id()) {
+                    scratch.seed[rk] = true;
                 }
             }
         }
 
-        scratch.prio = prio;
+        self.priority_order = prio;
         scratch.rank = rank;
         scratch.cross_ports = Some(cross_ports);
         scratch.dirty_ports = Some(dirty_ports);
@@ -1619,7 +1604,11 @@ fn untrack(unsettled: &mut BTreeSet<Pending>, removed: &[RemovedResv], now: Time
 mod tests {
     use super::*;
     use ocs_model::Bandwidth;
-    use sunflow_core::ShortestFirst;
+    use std::cell::Cell;
+    use sunflow_core::{
+        ClassThenShortest, ExplicitOrder, FirstComeFirstServed, GuardConfig, LongestFirst,
+        ShortestFirst,
+    };
 
     fn fabric() -> Fabric {
         Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10))
@@ -1649,7 +1638,7 @@ mod tests {
         for slice in 0..20u64 {
             let deadline = Time::from_millis(slice * 50);
             while fed < coflows.len() && coflows[fed].arrival() <= deadline {
-                s.submit(coflows[fed].clone(), &ShortestFirst).unwrap();
+                s.submit(coflows[fed].clone()).unwrap();
                 fed += 1;
             }
             s.run_until(deadline, &ShortestFirst);
@@ -1669,18 +1658,167 @@ mod tests {
         }
     }
 
+    /// Shortest-first, counting the comparisons it is asked for.
+    struct Counting<'a>(&'a Cell<u64>);
+
+    impl PriorityPolicy for Counting<'_> {
+        fn compare(&self, a: &Coflow, b: &Coflow, fabric: &Fabric) -> Ordering {
+            self.0.set(self.0.get() + 1);
+            ShortestFirst.compare(a, b, fabric)
+        }
+    }
+
+    /// Future arrivals wait in the arrival queue only: submitting them
+    /// asks nothing of the policy, and each arrival later costs one
+    /// binary insertion into the order of the Coflows active then.
+    #[test]
+    fn submit_does_no_priority_work() {
+        let compares = Cell::new(0u64);
+        let policy = Counting(&compares);
+        let f = Fabric::new(8, Bandwidth::GBPS, Dur::from_millis(10));
+        let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
+        let arrivals = 1_000u64;
+        for i in 0..arrivals {
+            let c = Coflow::builder(i)
+                .arrival(Time::from_millis(5 * i))
+                .flow((i % 8) as usize, ((i * 3 + 1) % 8) as usize, mb(1 + i % 3))
+                .build();
+            s.submit(c).unwrap();
+        }
+        assert_eq!(compares.get(), 0, "submit must not compare Coflows");
+        assert_eq!(s.queued_arrivals(), arrivals as usize);
+
+        // Arrival times are distinct, so each insertion searches an order
+        // no longer than the active count after the previous event.
+        let mut peak = 0usize;
+        while let Some(t) = s.next_event_time() {
+            s.run_until(t, &policy);
+            peak = peak.max(s.active_coflows());
+        }
+        assert_eq!(s.drain_completions().len(), arrivals as usize);
+        let per_insert = u64::from((peak as u64 + 1).next_power_of_two().trailing_zeros()) + 1;
+        assert!(compares.get() > 0, "arrivals must be ordered");
+        assert!(
+            compares.get() <= arrivals * per_insert,
+            "{} compares for {arrivals} arrivals at peak {peak} active",
+            compares.get()
+        );
+    }
+
+    /// A contended stream with strictly increasing arrivals from t = 0:
+    /// Coflows of one to three flows of mixed sizes on the 4-port fabric.
+    fn contended_stream(n: u64) -> Vec<Coflow> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let mut t = 0;
+        (0..n)
+            .map(|i| {
+                let mut b = Coflow::builder(i).arrival(Time::from_millis(t));
+                t += 1 + draw(30);
+                for _ in 0..1 + draw(3) {
+                    b = b.flow(draw(4) as usize, draw(4) as usize, mb(1 + draw(4)));
+                }
+                b.build()
+            })
+            .collect()
+    }
+
+    /// Completions in drain order, the counters without the wall clock,
+    /// and the guard windows elapsed.
+    type Work = (Vec<(ScheduleOutcome, Option<Time>)>, ReplayStats, u64);
+
+    fn work_of(mut s: OnlineStepper) -> Work {
+        let done = s
+            .drain_completions()
+            .into_iter()
+            .map(|c| (c.outcome, c.first_service))
+            .collect();
+        let stats = ReplayStats {
+            reschedule_micros: 0,
+            ..s.stats()
+        };
+        (done, stats, s.guard_windows())
+    }
+
+    /// Submitting every Coflow up front and submitting each one only
+    /// once its predecessor has arrived schedule identically *and* do
+    /// identical work: the queued future arrivals are invisible to the
+    /// event loop.
+    #[test]
+    fn up_front_and_just_in_time_submission_do_the_same_work() {
+        let f = fabric();
+        let coflows = contended_stream(40);
+        let classes = coflows.iter().map(|c| (c.id(), (c.id() % 3) as u32));
+        let policies: Vec<(&str, Box<dyn PriorityPolicy>)> = vec![
+            ("shortest", Box::new(ShortestFirst)),
+            ("longest", Box::new(LongestFirst)),
+            ("fcfs", Box::new(FirstComeFirstServed)),
+            (
+                "class",
+                Box::new(ClassThenShortest::new(classes.collect(), 1)),
+            ),
+            (
+                "explicit",
+                Box::new(ExplicitOrder::new(coflows.iter().rev().map(|c| c.id()))),
+            ),
+        ];
+        let mut configs = Vec::new();
+        for (name, policy) in &policies {
+            for active in [
+                ActiveCircuitPolicy::Keep,
+                ActiveCircuitPolicy::Preempt,
+                ActiveCircuitPolicy::Yield,
+            ] {
+                let cfg = OnlineConfig::default().active_policy(active);
+                configs.push((format!("{name}/{active:?}"), cfg, policy.as_ref()));
+            }
+        }
+        let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+        let guarded = OnlineConfig::default().guard(guard);
+        configs.push(("shortest/guarded".into(), guarded, &ShortestFirst));
+
+        for (label, cfg, policy) in configs {
+            let mut up_front = OnlineStepper::new(&f, &cfg);
+            for c in &coflows {
+                up_front.submit(c.clone()).unwrap();
+            }
+            up_front.run_to_idle(policy);
+
+            let mut jit = OnlineStepper::new(&f, &cfg);
+            jit.submit(coflows[0].clone()).unwrap();
+            for pair in coflows.windows(2) {
+                jit.run_until(pair[0].arrival(), policy);
+                assert_eq!(jit.queued_arrivals(), 0, "{label}");
+                jit.submit(pair[1].clone()).unwrap();
+            }
+            jit.run_to_idle(policy);
+
+            let (a, b) = (work_of(up_front), work_of(jit));
+            assert_eq!(a.0.len(), coflows.len(), "{label}");
+            assert_eq!(a, b, "{label}");
+            if cfg.guard.is_some() {
+                assert!(a.2 > 0, "{label}: the guard must elapse windows");
+            }
+        }
+    }
+
     #[test]
     fn submit_rejections() {
         let f = fabric();
         let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
-        s.submit(Coflow::builder(1).flow(0, 0, mb(1)).build(), &ShortestFirst)
+        s.submit(Coflow::builder(1).flow(0, 0, mb(1)).build())
             .unwrap();
         assert_eq!(
-            s.submit(Coflow::builder(1).flow(1, 1, mb(1)).build(), &ShortestFirst),
+            s.submit(Coflow::builder(1).flow(1, 1, mb(1)).build()),
             Err(SubmitError::DuplicateId(1))
         );
         assert!(matches!(
-            s.submit(Coflow::builder(2).flow(0, 9, mb(1)).build(), &ShortestFirst),
+            s.submit(Coflow::builder(2).flow(0, 9, mb(1)).build()),
             Err(SubmitError::ExceedsFabric { id: 2, .. })
         ));
         s.run_until(Time::from_millis(500), &ShortestFirst);
@@ -1689,8 +1827,7 @@ mod tests {
                 Coflow::builder(3)
                     .arrival(Time::from_millis(100))
                     .flow(0, 0, mb(1))
-                    .build(),
-                &ShortestFirst
+                    .build()
             ),
             Err(SubmitError::ArrivalInPast { .. })
         ));
@@ -1701,16 +1838,10 @@ mod tests {
         let f = fabric();
         let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
         // Two coflows contending for in.0: the second waits for the first.
-        s.submit(
-            Coflow::builder(0).flow(0, 0, mb(10)).build(),
-            &ShortestFirst,
-        )
-        .unwrap();
-        s.submit(
-            Coflow::builder(1).flow(0, 1, mb(20)).build(),
-            &ShortestFirst,
-        )
-        .unwrap();
+        s.submit(Coflow::builder(0).flow(0, 0, mb(10)).build())
+            .unwrap();
+        s.submit(Coflow::builder(1).flow(0, 1, mb(20)).build())
+            .unwrap();
         s.run_to_idle(&ShortestFirst);
         let mut done = s.drain_completions();
         done.sort_by_key(|c| c.outcome.coflow);
@@ -1743,12 +1874,12 @@ mod tests {
         let c = Coflow::builder(0).flow(0, 0, mb(1)).build();
 
         let mut clean = OnlineStepper::new(&f, &OnlineConfig::default());
-        clean.submit(c.clone(), &ShortestFirst).unwrap();
+        clean.submit(c.clone()).unwrap();
         clean.run_to_idle(&ShortestFirst);
         let clean_finish = clean.drain_completions()[0].outcome.finish;
 
         let mut faulty = OnlineStepper::new(&f, &OnlineConfig::default());
-        faulty.submit(c, &ShortestFirst).unwrap();
+        faulty.submit(c).unwrap();
         let mut hook = FailFirst { failed: 0 };
         faulty.run_to_idle_with(&ShortestFirst, &mut hook);
         let done = faulty.drain_completions();
@@ -1771,7 +1902,7 @@ mod tests {
             .collect();
         let mut a = OnlineStepper::new(&f, &OnlineConfig::default());
         for c in &coflows {
-            a.submit(c.clone(), &ShortestFirst).unwrap();
+            a.submit(c.clone()).unwrap();
         }
         a.run_until(Time::from_millis(40), &ShortestFirst);
         let snap = a.snapshot();
@@ -1798,7 +1929,6 @@ mod tests {
                     .arrival(Time::from_millis(i * 100))
                     .flow((i as usize) % 4, (i as usize + 1) % 4, mb(2))
                     .build(),
-                &ShortestFirst,
             )
             .unwrap();
         }

@@ -129,7 +129,7 @@ fn run_stepper_chunked(
     for slice in 1..=25u64 {
         let deadline = Time::from_millis(slice * 100);
         while fed < coflows.len() && coflows[fed].arrival() <= deadline {
-            stepper.submit(coflows[fed].clone(), prio).expect("submit");
+            stepper.submit(coflows[fed].clone()).expect("submit");
             fed += 1;
         }
         stepper.run_until(deadline, prio);
@@ -186,8 +186,10 @@ fn chunked_stepper_matches_all_goldens() {
 
 /// Sorting the active set by a rank precomputed over *all* Coflows must
 /// order any subset exactly as `PriorityPolicy::sort` would order that
-/// subset directly — the property the replay's memoized priority ranks
-/// rely on.
+/// subset directly — the property the replay relies on when it
+/// binary-inserts each arrival into the order of the active Coflows:
+/// whichever Coflows are active, and whenever each arrived, their
+/// relative order is the same.
 #[test]
 fn precomputed_rank_orders_subsets_like_policy_sort() {
     let coflows = workload();

@@ -141,7 +141,7 @@ fn scoped_and_full_agree_under_injected_faults() {
         let f = fabric(8);
         let mut stepper = OnlineStepper::new(&f, &cfg);
         for c in coflows {
-            stepper.submit(c, &ShortestFirst).expect("submit");
+            stepper.submit(c).expect("submit");
         }
         let mut hook = ShortEveryThird { n: 0 };
         stepper.run_to_idle_with(&ShortestFirst, &mut hook);
@@ -177,7 +177,7 @@ fn scoped_snapshot_restore_continues_identically() {
     let f = fabric(8);
     let mut a = OnlineStepper::new(&f, &OnlineConfig::default());
     for c in &coflows {
-        a.submit(c.clone(), &ShortestFirst).expect("submit");
+        a.submit(c.clone()).expect("submit");
     }
     a.run_until(Time::from_millis(700), &ShortestFirst);
     let snap = a.snapshot();
